@@ -117,6 +117,33 @@ class TestPredictorMicrobenchmarks:
         predictor = benchmark(run)
         assert predictor.current_period == 18
 
+    def test_bench_dpd_observe_scalar(self, benchmark):
+        """One scalar ``observe`` on the same warm predictor (the comparison row)."""
+
+        predictor = PeriodicityPredictor(window_size=24, max_period=256)
+        predictor.observe_many(PATTERN[:600])
+        stream = itertools.cycle(PATTERN)
+
+        benchmark(lambda: predictor.observe(next(stream)))
+        assert predictor.current_period == 18
+
+    @pytest.mark.parametrize("batch", [1, 8, 64, 512])
+    def test_bench_dpd_observe_many(self, benchmark, batch):
+        """Warm ``observe_many`` of one batch: the serve shard worker's call.
+
+        Compare ``mean_s / batch`` with ``test_bench_dpd_observe_scalar``;
+        the serve worker sends one call per same-key run, and under Zipf
+        keys most runs are one line long.
+        """
+
+        predictor = PeriodicityPredictor(window_size=24, max_period=256)
+        predictor.observe_many(PATTERN[:600])
+        chunk = np.array(PATTERN[:batch], dtype=np.int64)
+
+        benchmark(predictor.observe_many, chunk)
+        benchmark.extra_info["batch"] = batch
+        assert predictor.current_period is not None
+
     @pytest.mark.parametrize("window", [16, 64, 256])
     def test_bench_dpd_window_scaling(self, benchmark, window):
         """How the per-observation cost scales with the DPD window size."""

@@ -41,8 +41,12 @@ operation                   naive (seed)        incremental (this file)
 ``observe``                 O(1) append         O(M) counter update
 ``distances`` / ``detect``  O(N * M) scan       O(M) copy + scan
 observe+detect per message  O(N * M)            O(M) amortised
-``batch_observe`` of k      k * O(N * M)        O((k + N + M) * M) total
+``batch_observe`` of k      k * O(N * M)        O(k * M) when warm
 ==========================  ==================  =======================
+
+"Warm" means every delay is evaluable, i.e. after the first ``N + M``
+samples ever.  The samples that complete the warm-up go through a prefix-sum
+scan of ``O((N + M) * M)``, paid once per detector (and after ``reset``).
 
 The pre-refactor full rescan survives as :meth:`distances_naive` and is used
 by the equivalence tests to cross-validate the counters bit-for-bit.
@@ -69,8 +73,10 @@ from repro.core.circular_buffer import CircularBuffer, _as_int64_1d
 __all__ = ["PeriodicityResult", "DynamicPeriodicityDetector"]
 
 #: Batch periods are computed on O(M * chunk) scratch matrices; bigger inputs
-#: are processed in chunks of this many samples to bound peak memory.
-_BATCH_CHUNK = 8192
+#: are processed in chunks of this many samples.  This bounds peak memory and
+#: keeps the warm path's scratch in cache: on a (24, 256) detector, longer
+#: chunks cost more per sample, not less.
+_BATCH_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -205,12 +211,13 @@ class DynamicPeriodicityDetector:
     def batch_observe(self, values, return_periods: bool = False):
         """Feed many samples at once (the amortised fast path).
 
-        The final counter state is bit-identical to feeding the samples one
-        by one (``d(m)`` is a pure function of the retained history): the
-        ring is extended with vectorised slice writes and the counters are
-        rebuilt with one vectorised scan, so a batch of ``k`` samples costs
-        ``O((k + N + M) * M)`` total instead of ``k`` incremental updates'
-        Python overhead.
+        The final counter state and the returned periods are bit-identical to
+        feeding the samples one by one.  Once the detector is warm (every
+        delay evaluable, i.e. after the first ``N + M`` samples ever) a batch
+        of ``k`` samples costs ``O(k * M)`` vectorised work
+        (:meth:`_warm_batch`); the samples that complete the warm-up go
+        through the prefix-sum scan of :meth:`_batch_periods` and one counter
+        rebuild instead.
 
         Parameters
         ----------
@@ -230,18 +237,20 @@ class DynamicPeriodicityDetector:
         k = int(arr.shape[0])
         if k == 0:
             return np.zeros(0, dtype=np.int64) if return_periods else None
-        periods: np.ndarray | None = None
-        if return_periods:
-            chunks = []
-            for start in range(0, k, _BATCH_CHUNK):
-                chunk = arr[start : start + _BATCH_CHUNK]
+        cold = min(k, max(0, self.window_size + self.max_period - self.samples_seen))
+        chunks = []
+        for start in range(0, cold, _BATCH_CHUNK):
+            chunk = arr[start : min(start + _BATCH_CHUNK, cold)]
+            if return_periods:
                 chunks.append(self._batch_periods(chunk))
-                self._history.extend(chunk)
-            periods = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        else:
-            self._history.extend(arr)
-        self._recompute_counters()
-        return periods
+            self._history.extend(chunk)
+        if cold:
+            self._recompute_counters()
+        for start in range(cold, k, _BATCH_CHUNK):
+            chunks.append(self._warm_batch(arr[start : start + _BATCH_CHUNK]))
+        if not return_periods:
+            return None
+        return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
 
     def reset(self) -> None:
         """Forget all history."""
@@ -289,8 +298,9 @@ class DynamicPeriodicityDetector:
         """Smallest delay whose distance passes the tolerance, else None.
 
         ``ascending`` is a ``d(m)`` array indexed by ``m - 1``; the sole home
-        of the acceptance rule shared by :meth:`current_period`,
-        :meth:`detect` and (via its mask) :meth:`_batch_periods`.
+        of the acceptance rule shared by :meth:`current_period` and
+        :meth:`detect`; :meth:`_batch_periods` and :meth:`_warm_batch` apply
+        the same rule as a mask over every step at once.
         """
         if self.mismatch_tolerance == 0:
             index = int(ascending.argmin())
@@ -346,6 +356,46 @@ class DynamicPeriodicityDetector:
             shifted != h[base_index:][np.newaxis, :], axis=1
         )
         self._usable = usable
+
+    def _warm_batch(self, chunk: np.ndarray) -> np.ndarray:
+        """Append ``chunk`` to a warm detector; returns the per-step periods.
+
+        Every delay is evaluable and the history holds exactly ``N + M``
+        samples, so step ``j``'s distances are the current counters plus the
+        running sum of the :meth:`observe` update (entering minus leaving
+        indicators) over steps ``0 .. j``.  With ``a`` the history followed by
+        the chunk, counter slot ``i`` (delay ``m = M - i``) of step ``j``
+        pairs ``a[N + M + j]`` with ``a[N + j + i]`` (entering) and
+        ``a[M + j]`` with ``a[j + i]`` (leaving): both indicator matrices are
+        ``(k, M)`` comparisons against zero-copy strided windows of ``a``.
+        """
+        n = self.window_size
+        max_p = self.max_period
+        k = int(chunk.shape[0])
+        a = np.concatenate((self._history.view(), chunk))
+        step = a.itemsize
+        entering = (
+            np.ndarray((k, max_p), a.dtype, a, n * step, (step, step))
+            != a[n + max_p :, np.newaxis]
+        )
+        leaving = (
+            np.ndarray((k, max_p), a.dtype, a, 0, (step, step))
+            != a[max_p : max_p + k, np.newaxis]
+        )
+        drift = np.cumsum(
+            entering.view(np.int8) - leaving.view(np.int8), axis=0, dtype=np.int32
+        )
+        # counters + drift[j] <= tolerance, per step; the smallest accepted
+        # delay is the last accepted slot of the anchored-reversed layout.
+        # d(m) <= N, so capping the tolerance at N keeps the test exact in
+        # int32 (an int64 threshold would upcast the whole matrix).
+        threshold = (min(self.mismatch_tolerance, n) - self._counters).astype(np.int32)
+        ascending = (drift <= threshold)[:, ::-1]
+        first = ascending.argmax(axis=1)
+        found = ascending[np.arange(k), first]
+        self._counters += drift[-1]
+        self._history.extend(chunk)
+        return np.where(found, first + 1, 0).astype(np.int64)
 
     def _batch_periods(self, chunk: np.ndarray) -> np.ndarray:
         """Per-step periodicity decisions for appending ``chunk`` (pre-append state).

@@ -14,6 +14,8 @@ instead of re-running the full equation-(1) scan, and
 :meth:`PeriodicityPredictor.observe_many` feeds a whole chunk through the
 DPD's batch path while reproducing the exact per-sample bookkeeping
 (``detections``, ``period_changes``, stickiness) of a sequential loop.
+Chunks too short for the batch path to pay off are that loop, so a bulk
+feed never costs more than feeding the samples one by one.
 
 All predictors in this package share the :class:`BasePredictor` interface so
 that the evaluation harness and the ablation benchmarks can swap them freely:
@@ -35,6 +37,20 @@ from repro.core.circular_buffer import _as_int64_1d
 from repro.core.dpd import DynamicPeriodicityDetector
 
 __all__ = ["BasePredictor", "PeriodicityPredictor"]
+
+#: Batches shorter than this go through the per-sample :meth:`observe`
+#: loop: below it, the DPD batch path's fixed NumPy call overhead outweighs
+#: its per-sample saving (measured crossover on a warm ``(24, 256)``
+#: predictor; see the ``test_bench_dpd_observe_many`` rows).
+_BATCH_CROSSOVER = 8
+
+#: The same crossover while the DPD is still warming up (fewer than
+#: ``window_size + max_period`` samples seen).  There the batch path pays a
+#: prefix-sum scan and a counter rebuild on every call, so the loop wins for
+#: longer: measured on fresh ``(8, 16)`` and ``(24, 256)`` predictors, an
+#: 8-sample batch cost about twice the loop, and the two met near 12-16.
+#: A serve stream's first burst is such a batch.
+_COLD_BATCH_CROSSOVER = 12
 
 
 class BasePredictor:
@@ -150,13 +166,19 @@ class PeriodicityPredictor(BasePredictor):
     def observe_many(self, values: Sequence[int]) -> None:
         """Vectorised bulk feed; bit-equivalent to looping :meth:`observe`.
 
-        The samples go through the DPD batch path, and the per-sample
-        detection decisions it returns are folded into ``detections``,
-        ``period_changes`` and the (sticky) current period exactly as a
-        sequential loop would have.
+        Batches of at least ``_BATCH_CROSSOVER`` samples (or
+        ``_COLD_BATCH_CROSSOVER`` while the DPD warms up) go through the DPD
+        batch path, and the per-sample detection decisions it returns are
+        folded into ``detections``, ``period_changes`` and the (sticky)
+        current period exactly as a sequential loop would have.  Shorter
+        batches are that loop.
         """
         arr = _as_int64_1d(values)
-        if arr.shape[0] == 0:
+        dpd = self._dpd
+        warm = dpd.samples_seen >= dpd.window_size + dpd.max_period
+        if arr.shape[0] < (_BATCH_CROSSOVER if warm else _COLD_BATCH_CROSSOVER):
+            for value in arr.tolist():
+                self.observe(value)
             return
         periods = self._dpd.batch_observe(arr, return_periods=True)
         detected = periods > 0

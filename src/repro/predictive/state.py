@@ -16,9 +16,14 @@ can be served — so this module provides the two generic primitives:
   exact object state, so subsequent predictions are bit-identical — the
   serve plane's snapshot round-trip invariant rides on this.
 
-The size estimate is deterministic for a given object graph (it never reads
-clocks or addresses beyond identity-based deduplication), which keeps the
-LRU tables' eviction decisions reproducible.
+The size estimate never reads clocks or addresses (beyond identity-based
+deduplication), but it is *not* a pure function of the object graph: it
+reads ``sys.getsizeof``, and the size of an instance ``__dict__`` depends on
+interpreter history (CPython shares dict keys between instances of a class,
+so the first predictor of a process measures larger than identical later
+ones).  Byte-capped LRU eviction is therefore reproducible for the same
+sequence of operations in a fresh process, not across process histories.
+Exact byte accounting is ROADMAP item 3.
 """
 
 from __future__ import annotations
@@ -47,48 +52,82 @@ def state_nbytes(obj) -> int:
     the identity memo).  Objects reachable twice are counted once.
 
     This is an *estimate* — interpreter-internal sharing (small-int cache,
-    string interning) is deliberately ignored — but it is stable for a
-    fixed object graph, monotone in history growth, and cheap enough to
-    refresh periodically on the serve ingest path.
+    string interning) is deliberately ignored.  It is monotone in history
+    growth and cheap enough to refresh periodically on the serve ingest
+    path, but not stable across interpreter history: identical fresh
+    objects can measure differently as the process ages (see the module
+    docstring).
+
+    The walk is iterative with a per-type dispatch memo: the serve tables
+    measure every stream they create, so this sits on the cold-ingest path.
+    Every object contributes its own size exactly once, so the total does
+    not depend on the visiting order.  ``obj`` stays bound for the whole
+    walk: the identity memo is only sound while the graph is alive.
     """
+    getsizeof = sys.getsizeof
+    kinds = _KINDS
     seen: set[int] = set()
-    return _deep_nbytes(obj, seen)
-
-
-def _deep_nbytes(obj, seen: set[int]) -> int:
-    identity = id(obj)
-    if identity in seen:
-        return 0
-    seen.add(identity)
-    if isinstance(obj, np.ndarray):
-        total = int(sys.getsizeof(obj))
-        base = obj.base
-        if base is None:
-            # getsizeof already includes the owned buffer for ndarrays,
-            # but not always for non-contiguous ones; be explicit instead.
-            total = 128 + int(obj.nbytes)
+    total = 0
+    pending = [obj]
+    while pending:
+        item = pending.pop()
+        identity = id(item)
+        if identity in seen:
+            continue
+        seen.add(identity)
+        cls = type(item)
+        kind = kinds.get(cls)
+        if kind is None:
+            kind = kinds[cls] = _kind_of(cls)
+        if kind == _ATOM:
+            total += getsizeof(item)
+        elif kind == _MAPPING:
+            total += getsizeof(item)
+            for key, value in item.items():
+                pending.append(key)
+                pending.append(value)
+        elif kind == _OBJECT:
+            total += getsizeof(item)
+            attributes = getattr(item, "__dict__", None)
+            if attributes is not None:
+                pending.append(attributes)
+            slots = getattr(cls, "__slots__", ())
+            if isinstance(slots, str):
+                slots = (slots,)
+            for name in slots:
+                if hasattr(item, name):
+                    pending.append(getattr(item, name))
+        elif kind == _ARRAY:
+            # getsizeof includes the owned buffer for ndarrays, but not
+            # always for non-contiguous ones; be explicit instead.  A view
+            # counts its base, which the identity memo counts once.
+            total += 128
+            base = item.base
+            if base is None:
+                total += int(item.nbytes)
+            else:
+                pending.append(base)
         else:
-            total = 128 + _deep_nbytes(base, seen)
-        return total
-    if isinstance(obj, _ATOMS):
-        return int(sys.getsizeof(obj))
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return int(sys.getsizeof(obj)) + sum(_deep_nbytes(item, seen) for item in obj)
-    if isinstance(obj, dict):
-        return int(sys.getsizeof(obj)) + sum(
-            _deep_nbytes(key, seen) + _deep_nbytes(value, seen) for key, value in obj.items()
-        )
-    total = int(sys.getsizeof(obj))
-    attributes = getattr(obj, "__dict__", None)
-    if attributes is not None:
-        total += _deep_nbytes(attributes, seen)
-    slots = getattr(type(obj), "__slots__", ())
-    if isinstance(slots, str):
-        slots = (slots,)
-    for name in slots:
-        if hasattr(obj, name):
-            total += _deep_nbytes(getattr(obj, name), seen)
-    return total
+            total += getsizeof(item)
+            pending.extend(item)
+    return int(total)
+
+
+#: How :func:`state_nbytes` walks an object, decided once per type.
+_ATOM, _ARRAY, _SEQUENCE, _MAPPING, _OBJECT = range(5)
+_KINDS: dict[type, int] = {}
+
+
+def _kind_of(cls: type) -> int:
+    if issubclass(cls, np.ndarray):
+        return _ARRAY
+    if issubclass(cls, _ATOMS):
+        return _ATOM
+    if issubclass(cls, (list, tuple, set, frozenset)):
+        return _SEQUENCE
+    if issubclass(cls, dict):
+        return _MAPPING
+    return _OBJECT
 
 
 def freeze_state(obj) -> bytes:

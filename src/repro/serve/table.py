@@ -18,11 +18,16 @@ size refresh:
 When over a cap, the **least recently used** streams are evicted (the
 ``evictions`` counter records how many, forever).  Recency is updated by
 observes *and* stream-addressed queries — a stream that is still being
-asked about is not cold.  Eviction is deterministic: it depends only on the
-sequence of operations applied to the table, never on clocks or memory
-addresses (the resident-size estimate of
-:func:`repro.predictive.state.state_nbytes` is a pure function of the
-object graph).
+asked about is not cold.  The ``max_streams`` cap is deterministic: it
+depends only on the sequence of operations applied to the table, never on
+clocks or memory addresses.  The ``max_bytes`` cap is reproducible only for
+the same sequence of operations in a fresh process: the resident-size
+estimate of :func:`repro.predictive.state.state_nbytes` is *not* a pure
+function of the object graph.  It reads ``sys.getsizeof``, and identical
+fresh predictors measure differently as the interpreter ages (17634 bytes
+for the first ``OnlineMessagePredictor(1)`` of a process, 16410 for later
+ones; CPython's shared-key instance dicts are the likely cause).  Exact
+byte accounting (a fixed-width slab per stream) is ROADMAP item 3.
 
 Resident-bytes accounting
 -------------------------

@@ -6,6 +6,9 @@ from-scratch scan (:meth:`DynamicPeriodicityDetector.distances_naive`) and to
 a sequential ``observe`` loop, after every single append.
 """
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 import repro.core.dpd as dpd_module
 from repro.core.dpd import DynamicPeriodicityDetector
-from repro.core.predictor import PeriodicityPredictor
+from repro.core.predictor import _BATCH_CROSSOVER, PeriodicityPredictor
 
 values = st.integers(min_value=0, max_value=5)
 
@@ -196,3 +199,97 @@ class TestPredictorObserveMany:
     def test_predict_array_invalid_horizon(self):
         with pytest.raises(ValueError):
             PeriodicityPredictor().predict_array(0)
+
+
+def noisy_periodic(pattern, length, noise):
+    """``pattern`` repeated to ``length`` samples, with ``noise`` overrides."""
+    stream = (pattern * (length // len(pattern) + 1))[:length]
+    for index, value in noise:
+        if index < length:
+            stream[index] = value
+    return stream
+
+
+def assert_same_predictor_state(batched, sequential):
+    assert batched.detections == sequential.detections
+    assert batched.period_changes == sequential.period_changes
+    assert batched.current_period == sequential.current_period
+    assert batched.predict(6) == sequential.predict(6)
+    np.testing.assert_array_equal(batched._dpd.distances(), sequential._dpd.distances())
+    assert_counters_match(batched._dpd)
+
+
+class TestObserveManyChunkings:
+    """``observe_many`` over any chunking equals the per-sample loop.
+
+    Chunk lengths straddle the predictor's loop/batch crossover, and the
+    DPD's ``_BATCH_CHUNK`` is patched down so long chunks are split too.
+    Streams start cold, so every run covers warm-up, the chunk that makes
+    every delay evaluable, and the warm batch path afterwards.
+    """
+
+    @given(
+        window=st.integers(1, 10),
+        max_period=st.integers(1, 20),
+        tolerance=st.integers(0, 2),
+        sticky=st.booleans(),
+        pattern=st.lists(values, min_size=1, max_size=8),
+        length=st.integers(0, 160),
+        noise=st.lists(st.tuples(st.integers(0, 159), values), max_size=6),
+        lengths=st.lists(st.integers(1, 2 * _BATCH_CROSSOVER + 4), min_size=1, max_size=12),
+        batch_chunk=st.integers(1, 12),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_random_chunkings_match_per_sample_loop(
+        self, window, max_period, tolerance, sticky, pattern, length, noise, lengths, batch_chunk
+    ):
+        stream = noisy_periodic(pattern, length, noise)
+        sequential = PeriodicityPredictor(window, max_period, tolerance, sticky=sticky)
+        batched = PeriodicityPredictor(window, max_period, tolerance, sticky=sticky)
+        start = 0
+        with mock.patch.object(dpd_module, "_BATCH_CHUNK", batch_chunk):
+            for size in itertools.cycle(lengths):
+                if start >= len(stream):
+                    break
+                chunk = stream[start : start + size]
+                start += size
+                batched.observe_many(chunk)
+                for value in chunk:
+                    sequential.observe(value)
+                assert_same_predictor_state(batched, sequential)
+
+    @pytest.mark.parametrize("tolerance", [0, 2])
+    @pytest.mark.parametrize("sticky", [True, False])
+    def test_chunk_crossing_warm_up_then_warm_chunks(self, tolerance, sticky):
+        window, max_period = 6, 10
+        stream = noisy_periodic([3, 1, 4, 1, 5], 120, [(40, 9), (41, 9), (77, 2)])
+        sequential = PeriodicityPredictor(window, max_period, tolerance, sticky=sticky)
+        batched = PeriodicityPredictor(window, max_period, tolerance, sticky=sticky)
+        # 12 samples leave the detector cold; the next chunk of 20 completes
+        # the warm-up (N + M = 16) part-way through.
+        cuts = [0, 12, 32, 32 + 3 * _BATCH_CROSSOVER, 120]
+        for begin, end in zip(cuts, cuts[1:]):
+            before = batched._dpd._usable
+            batched.observe_many(stream[begin:end])
+            for value in stream[begin:end]:
+                sequential.observe(value)
+            assert_same_predictor_state(batched, sequential)
+            if begin == 12:
+                assert before < max_period == batched._dpd._usable
+
+    def test_warm_batches_never_rescan(self, monkeypatch):
+        predictor = PeriodicityPredictor(24, 256)
+        predictor.observe_many(noisy_periodic([1, 2, 5, 7, 9], 300, []))
+        calls = []
+        for name in ("_batch_periods", "_recompute_counters"):
+            original = getattr(DynamicPeriodicityDetector, name)
+
+            def spy(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(DynamicPeriodicityDetector, name, spy)
+        for size in (1, _BATCH_CROSSOVER, 64, 512):
+            predictor.observe_many(noisy_periodic([1, 2, 5, 7, 9], size, []))
+        assert calls == []
+        assert predictor.current_period == 5

@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.core.dpd import DynamicPeriodicityDetector
 from repro.serve.client import ServeClient, ServeResponseError
 from repro.serve.server import ServeServer, run_stdin
 from repro.serve.service import ServeService
@@ -212,6 +213,56 @@ class TestTCPServer:
                 ingest_patterns(writer_client)
             with ServeClient.connect(port=server.port) as reader_client:
                 assert reader_client.predict("alpha")["known"] is True
+
+
+class TestOneLineRunsStayIncremental:
+    """Interleaved keys reach the shard worker as one-line runs.
+
+    Each run is one ``observe_batch`` call.  On a warm stream that call must
+    never take the DPD's full-scan batch path (a spy on ``_batch_periods``
+    and ``_recompute_counters`` records it), and the answers must equal a
+    line-by-line ``ServeService.handle_line`` drive.
+    """
+
+    def test_one_line_runs_on_warm_streams_skip_the_full_scan(self, monkeypatch):
+        warm_scans = []
+        for name in ("_batch_periods", "_recompute_counters"):
+            original = getattr(DynamicPeriodicityDetector, name)
+
+            def spy(self, *args, _original=original, _name=name):
+                if self._usable == self.max_period:
+                    warm_scans.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(DynamicPeriodicityDetector, name, spy)
+
+        # One shard, alternating keys: every coalesced run is one line long.
+        lines = []
+        for step in range(120):
+            for key, pattern in PATTERNS.items():
+                sender, nbytes = pattern[step % len(pattern)]
+                lines.append(json.dumps({"receiver": key, "sender": sender, "nbytes": nbytes}))
+            if step % 10 == 9:
+                lines.append(json.dumps({"op": "predict", "receiver": "alpha"}))
+                lines.append(json.dumps({"op": "expects", "receiver": "beta", "sender": 4}))
+
+        direct = make_service(num_shards=1)
+        expected = []
+        for number, line in enumerate(lines, start=1):
+            response = direct.handle_line(line, number)
+            if response is not None:
+                expected.append(response)
+
+        with ServerThread(make_service(num_shards=1)) as server:
+            with ServeClient.connect(port=server.port) as client:
+                for line in lines:
+                    client.send_raw(line)
+                client.flush_io()
+                served = [json.loads(client._reader.readline()) for _ in expected]
+                assert client.stats()["observations"] == 240
+        assert served == expected
+        assert served[-2]["known"] is True
+        assert warm_scans == []
 
 
 class TestServerValidation:

@@ -7,6 +7,9 @@ plateaus once a cap is reached, no matter how many distinct streams pass
 through.
 """
 
+import sys
+
+import numpy as np
 import pytest
 
 from repro.predictive.online import OnlineMessagePredictor
@@ -181,3 +184,58 @@ class TestValidation:
         assert stats["evictions"] == 0
         assert stats["max_streams"] == 8
         assert stats["resident_bytes"] == stats["resident_bytes_per_stream"]
+
+
+def recursive_nbytes(obj, seen):
+    """Reference walk: the estimate's definition, one recursive call per object."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        if obj.base is None:
+            return 128 + int(obj.nbytes)
+        return 128 + recursive_nbytes(obj.base, seen)
+    if isinstance(obj, (int, float, bool, bytes, str, complex, type(None))):
+        return sys.getsizeof(obj)
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return sys.getsizeof(obj) + sum(recursive_nbytes(item, seen) for item in obj)
+    if isinstance(obj, dict):
+        return sys.getsizeof(obj) + sum(
+            recursive_nbytes(key, seen) + recursive_nbytes(value, seen)
+            for key, value in obj.items()
+        )
+    total = sys.getsizeof(obj)
+    if getattr(obj, "__dict__", None) is not None:
+        total += recursive_nbytes(obj.__dict__, seen)
+    for name in getattr(type(obj), "__slots__", ()):
+        if hasattr(obj, name):
+            total += recursive_nbytes(getattr(obj, name), seen)
+    return total
+
+
+class Slotted:
+    __slots__ = ("payload", "unset")
+
+    def __init__(self, payload):
+        self.payload = payload
+
+
+class TestStateNbytes:
+    """``state_nbytes`` walks iteratively; its totals are the recursive definition's."""
+
+    def test_fed_predictor_matches_recursive_walk(self):
+        predictor = OnlineMessagePredictor(nprocs=2, horizon=3)
+        predictor.observe_batch(0, [1, 2, 1, 3] * 90, [64, 4096] * 180)
+        predictor.observe(1, 0, 512)
+        assert state_nbytes(predictor) == recursive_nbytes(predictor, set())
+
+    def test_shared_views_slots_and_cycles_match_recursive_walk(self):
+        base = np.arange(64, dtype=np.int64)
+        graph = {
+            "views": [base[4:], base[::3], base],
+            "lone_view": np.arange(32, dtype=np.int64)[2:],
+            "scalars": (1.5, None, "name", 2**70, frozenset({1, 2})),
+            "slotted": Slotted(np.zeros(8)),
+        }
+        graph["self"] = graph
+        assert state_nbytes(graph) == recursive_nbytes(graph, set())
